@@ -21,7 +21,7 @@ Quick start — the :mod:`repro.api` facade is the documented entry point::
     # Arbitrary point sets: parallel, cached, resumable:
     report = api.campaign(
         [base.with_options(tier=t) for t in (0, 2)],
-        workers=4, cache_dir=".campaign-cache",
+        options=api.RunOptions(workers=4, cache_dir=".campaign-cache"),
     )
 
 Subpackages

@@ -25,13 +25,8 @@ reuses it) and by :meth:`repro.service.ExperimentService.submit`::
     )
 
 Everything here is re-exported from the top-level ``repro`` package.
-The pre-``RunOptions`` per-function keywords
-(``sweep(..., workers=4, cache_dir=...)``) keep working as
-:class:`DeprecationWarning` shims, as do the pre-facade entry points
-(``repro.core.experiment.run_experiment``, ``mba_sweep(workload, size,
-tier)``, ``run_experiments``) — see the deprecation policy in
-docs/API.md.  For many concurrent callers sharing one process pool, use
-the async service (:mod:`repro.service`, docs/SERVICE.md).
+For many concurrent callers sharing one process pool, use the async
+service (:mod:`repro.service`, docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ import typing as t
 from dataclasses import replace
 
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.options import RunOptions, resolve_options
+from repro.options import RunOptions
 from repro.runner.campaign import (
     STATUS_EXECUTED,
     _TRACE_STATUS,
@@ -59,13 +54,6 @@ __all__ = [
     "sweep",
 ]
 
-#: Legacy keywords each verb accepted before ``options=`` existed.
-_LEGACY_RUN = ("observe",)
-_LEGACY_SWEEP = ("workers", "cache_dir", "resume", "reuse_traces",
-                 "trace_dir", "observe")
-_LEGACY_CAMPAIGN = _LEGACY_SWEEP
-
-
 def config(workload: str, **fields: t.Any) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` (keyword convenience)."""
     return ExperimentConfig(workload=workload, **fields)
@@ -74,14 +62,15 @@ def config(workload: str, **fields: t.Any) -> ExperimentConfig:
 def _execute_single(
     config: ExperimentConfig, options: RunOptions
 ) -> tuple[ExperimentResult, str]:
-    """One point under ``options`` — the primitive behind :func:`run`
-    and each service job.
+    """One point under ``options`` — the primitive behind :func:`run`.
 
-    Resolution order mirrors the campaign runner: result-cache lookup
-    (when ``cache_dir`` is set and ``resume`` allows), then trace
-    capture/replay (when a durable trace root exists), then direct
-    simulation.  Every path returns values bit-identical to
-    ``run_experiment(config)``.
+    (Service jobs and campaign points go through
+    :func:`repro.runner.campaign._execute_point` instead.)  Resolution
+    order mirrors the campaign runner: result-cache lookup (when
+    ``cache_dir`` is set and ``resume`` allows), then trace replay →
+    direct simulation or a capture (when a durable trace root exists),
+    otherwise direct simulation.  Every path returns values
+    bit-identical to ``run_experiment(config)``.
     """
     from repro.obs import coerce_observer
 
@@ -133,14 +122,10 @@ def run(
     :mod:`repro.obs` layer (never changes simulated results),
     ``cache_dir`` makes repeated runs of the same config a lookup, and a
     durable trace root (``trace_dir`` or ``cache_dir``) lets the run
-    capture/replay workload traces exactly like a campaign point.  The
-    pre-``RunOptions`` ``observe=`` keyword still works with a
-    :class:`DeprecationWarning`.
+    capture/replay workload traces exactly like a campaign point.
     """
-    legacy = {k: overrides.pop(k) for k in _LEGACY_RUN if k in overrides}
-    options = resolve_options(
-        options, legacy, caller="run", allowed=_LEGACY_RUN
-    )
+    if options is None:
+        options = RunOptions()
     if isinstance(experiment, ExperimentConfig):
         resolved = replace(experiment, **overrides) if overrides else experiment
     else:
@@ -156,7 +141,6 @@ def sweep(
     *,
     options: RunOptions | None = None,
     progress: t.Callable[[CampaignProgress], None] | None = None,
-    **legacy: t.Any,
 ) -> list[ExperimentResult]:
     """Vary one config field across ``values``; results in value order.
 
@@ -166,13 +150,8 @@ def sweep(
     :func:`campaign` for per-point failure isolation.  Sweeping a
     timing-only axis (``tier``, ``mba_percent``, ``cpu_socket``)
     computes the workload once and replays it at every other value
-    unless ``options.reuse_traces`` is off.  The pre-``RunOptions``
-    keywords (``workers=``, ``cache_dir=``, ...) still work with a
-    :class:`DeprecationWarning`.
+    unless ``options.reuse_traces`` is off.
     """
-    options = resolve_options(
-        options, legacy, caller="sweep", allowed=_LEGACY_SWEEP
-    )
     if isinstance(base, str):
         base = ExperimentConfig(workload=base)
     configs = [replace(base, **{axis: value}) for value in values]
@@ -187,7 +166,6 @@ def campaign(
     options: RunOptions | None = None,
     progress: t.Callable[[CampaignProgress], None] | None = None,
     runner: CampaignRunner | None = None,
-    **legacy: t.Any,
 ) -> CampaignReport:
     """Execute a campaign of experiment points.
 
@@ -211,13 +189,8 @@ def campaign(
     makes every live point write per-point span-trace/metrics artifacts
     and merges them into campaign-level files after the run; see
     :class:`repro.runner.CampaignRunner`.  Resumed (cached) points are
-    never re-executed and never re-emit artifacts.  The
-    pre-``RunOptions`` keywords still work with a
-    :class:`DeprecationWarning`.
+    never re-executed and never re-emit artifacts.
     """
-    options = resolve_options(
-        options, legacy, caller="campaign", allowed=_LEGACY_CAMPAIGN
-    )
     if runner is not None:
         return runner.run(configs)
     return run_campaign(configs, progress=progress, options=options)

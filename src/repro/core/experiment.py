@@ -197,29 +197,3 @@ def run_experiment(
         mitigation=mitigation,
     )
 
-
-def run_experiments(
-    configs: t.Iterable[ExperimentConfig],
-    progress: t.Callable[[ExperimentConfig], None] | None = None,
-) -> list[ExperimentResult]:
-    """Run a batch of configurations sequentially.
-
-    .. deprecated::
-        Use :func:`repro.api.campaign` (parallel, cached, failure-
-        isolated) instead.  This shim keeps the pre-runner call path
-        working unchanged.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_experiments() is deprecated; use repro.api.campaign() for "
-        "parallel, cached campaign execution",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    results = []
-    for config in configs:
-        if progress is not None:
-            progress(config)
-        results.append(run_experiment(config))
-    return results

@@ -7,16 +7,11 @@ through to each point.  Points are submitted through the campaign
 runner (:mod:`repro.runner`), so a sweep can fan out across a process
 pool and reuse a content-addressed cache; the default stays serial and
 uncached.
-
-The pre-runner signatures (``mba_sweep("sort", "small", tier=2)``) keep
-working: a workload-name string is accepted with a
-``DeprecationWarning`` and converted to a base config.
 """
 
 from __future__ import annotations
 
 import typing as t
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,35 +29,24 @@ FIG4_WORKLOADS = ("sort", "rf", "lda", "pagerank")
 
 
 def _resolve_base(
-    base: ExperimentConfig | str,
+    base: ExperimentConfig,
     size: str | None,
     tier: int | None,
-    default_tier: int = 2,
 ) -> ExperimentConfig:
-    """Normalize either calling convention to one base config.
-
-    With an :class:`ExperimentConfig`, explicit ``size``/``tier``
-    arguments override the base's values; with a workload-name string
-    (deprecated), they fill in a fresh config.
-    """
-    if isinstance(base, ExperimentConfig):
-        overrides: dict[str, t.Any] = {}
-        if size is not None:
-            overrides["size"] = size
-        if tier is not None:
-            overrides["tier"] = tier
-        return replace(base, **overrides) if overrides else base
-    warnings.warn(
-        "passing a workload name to a sweep is deprecated; pass a base "
-        "ExperimentConfig (e.g. sweep(ExperimentConfig(workload='sort')))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExperimentConfig(
-        workload=base,
-        size="small" if size is None else size,
-        tier=default_tier if tier is None else tier,
-    )
+    """The sweep's base config, with explicit ``size``/``tier``
+    arguments overriding the base's values."""
+    if not isinstance(base, ExperimentConfig):
+        raise TypeError(
+            "sweeps take a base ExperimentConfig "
+            "(e.g. ExperimentConfig(workload='sort')), "
+            f"not {type(base).__name__}"
+        )
+    overrides: dict[str, t.Any] = {}
+    if size is not None:
+        overrides["size"] = size
+    if tier is not None:
+        overrides["tier"] = tier
+    return replace(base, **overrides) if overrides else base
 
 
 def _run_points(
@@ -110,7 +94,7 @@ class MbaSweep:
 
 
 def mba_sweep(
-    base: ExperimentConfig | str,
+    base: ExperimentConfig,
     size: str | None = None,
     tier: int | None = None,
     levels: t.Sequence[int] = MBA_LEVELS,
@@ -181,7 +165,7 @@ class ExecutorCoreGrid:
 
 
 def executor_core_sweep(
-    base: ExperimentConfig | str,
+    base: ExperimentConfig,
     size: str | None = None,
     tier: int | None = None,
     executors: t.Sequence[int] = EXECUTOR_GRID,

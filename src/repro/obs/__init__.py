@@ -15,8 +15,9 @@ experiment the engine runs:
   schema-versioned metrics JSON (:func:`export_metrics_json`) and a
   terminal stage timeline (:func:`format_stage_timeline`).
 
-Entry points: ``repro.api.run(config, observe=ObsConfig(...))``,
-``repro.api.campaign(configs, observe=...)``, or the CLI's
+Entry points: ``repro.api.run(config, options=RunOptions(observe=
+ObsConfig(...)))``, ``repro.api.campaign(configs, options=RunOptions(
+observe=...))``, or the CLI's
 ``--trace-out`` / ``--metrics-json`` flags on ``run`` and ``campaign``.
 Observation never alters the simulation — observed runs are
 bit-identical to unobserved ones — and with ``observe=None`` the engine

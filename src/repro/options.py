@@ -14,17 +14,12 @@ the CLI spelled the same things ``--workers``/``--cache-dir``/
 - the CLI *generates* its flags from the dataclass fields
   (:func:`add_options_args` / :func:`options_from_args`), so the two
   surfaces cannot diverge again — a new field becomes a new flag.
-
-The old per-function keywords keep working through
-:func:`resolve_options`, which folds them into a ``RunOptions`` and
-emits exactly one :class:`DeprecationWarning` per call site.
 """
 
 from __future__ import annotations
 
 import argparse
 import typing as t
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -56,13 +51,6 @@ class RunOptions:
     #: Compute each behaviour class once and replay the captured trace
     #: for every other tier/MBA/socket point (bit-identical, faster).
     reuse_traces: bool = True
-    #: Serve trace hits through the vectorized fast-path re-timer
-    #: (:mod:`repro.trace.fastreplay`) instead of event-by-event DES
-    #: replay — bit-identical, several times faster; ineligible points
-    #: fall back to DES replay automatically.  ``False`` forces DES
-    #: replay for every hit (observed runs take the fast path too; the
-    #: re-timer emits the same spans DES replay does).
-    fast_replay: bool = True
     #: Persist generated input datasets as memory-mapped artifacts
     #: (:mod:`repro.workloads.datacache`) so capture/direct points skip
     #: regeneration — value-identical, keyed on generator version and
@@ -138,7 +126,6 @@ class RunOptions:
             "cache_dir": self.cache_dir,
             "resume": self.resume,
             "reuse_traces": self.reuse_traces,
-            "fast_replay": self.fast_replay,
             "dataset_cache": self.dataset_cache,
             "trace_dir": self.trace_dir,
             "dataset_dir": self.dataset_dir,
@@ -152,44 +139,6 @@ OPTION_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(RunOptions))
 #: Fields that cannot be expressed as a simple scalar CLI flag
 #: (``observe`` is composed from ``--trace-out``/``--metrics-json``).
 _NON_FLAG_FIELDS = frozenset({"observe"})
-
-
-def resolve_options(
-    options: RunOptions | None,
-    legacy: dict[str, t.Any],
-    *,
-    caller: str,
-    allowed: t.Iterable[str] = OPTION_FIELDS,
-    stacklevel: int = 3,
-) -> RunOptions:
-    """Fold deprecated per-function keywords into one ``RunOptions``.
-
-    ``legacy`` is the caller's ``**kwargs`` dict; any key naming a
-    ``RunOptions`` field in ``allowed`` is consumed (one aggregated
-    :class:`DeprecationWarning` per call, however many keys), any other
-    key raises :class:`TypeError` exactly as a misspelled keyword would.
-    Mixing ``options=`` with legacy keywords is ambiguous and raises.
-    """
-    allowed = set(allowed)
-    taken = {k: legacy.pop(k) for k in sorted(allowed) if k in legacy}
-    if legacy:
-        unexpected = ", ".join(sorted(legacy))
-        raise TypeError(f"{caller}() got unexpected keyword(s): {unexpected}")
-    if not taken:
-        return options if options is not None else RunOptions()
-    if options is not None:
-        raise TypeError(
-            f"{caller}() takes either options= or the deprecated "
-            f"keyword(s) {sorted(taken)}, not both"
-        )
-    names = ", ".join(f"{k}=" for k in taken)
-    warnings.warn(
-        f"{caller}({names}...) is deprecated; pass "
-        f"options=RunOptions({names}...) instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return RunOptions(**taken)
 
 
 # ---------------------------------------------------------------- CLI bridge
@@ -219,9 +168,6 @@ def add_options_args(
         "cache_dir": "content-addressed result cache directory",
         "reuse_traces": "replay captured workload traces instead of "
                         "simulating every point in full",
-        "fast_replay": "serve trace hits through the vectorized "
-                       "fast-path re-timer (bit-identical; --no-fast-replay "
-                       "forces event-by-event DES replay)",
         "dataset_cache": "reuse generated input datasets as memory-mapped "
                          "artifacts under CACHE_DIR/datasets "
                          "(value-identical; --no-dataset-cache regenerates "

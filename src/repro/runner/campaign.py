@@ -21,12 +21,11 @@ this module exploits:
 - **trace reuse** — the sweep axes (tier, MBA level, CPU socket) change
   *timing*, not behaviour, so the expensive workload computation runs
   once per behaviour class (:mod:`repro.trace` captures it) and every
-  other grid point replays the captured trace — by default through the
-  vectorized fast-path re-timer (:mod:`repro.trace.fastreplay`), with
-  automatic fallback to event-by-event DES replay and from there to
-  direct simulation — bit-identical to direct simulation, several
-  times faster.  Trace artifacts live beside the result cache
-  (``<cache_dir>/traces/``);
+  other grid point replays the captured trace through the vectorized
+  re-timer (:mod:`repro.trace.fastreplay`), falling back to direct
+  simulation when a replay diverges — bit-identical to direct
+  simulation, many times faster.  Trace artifacts live beside the
+  result cache (``<cache_dir>/traces/``);
 - **zero-copy transport** — with a process pool, the runner keeps its
   workers alive across waves and campaigns, decompresses each trace
   artifact once in the parent, and publishes the columnar arrays to
@@ -106,16 +105,14 @@ def _execute_point(
     trace_root: str | None = None,
     obs_dir: str | None = None,
     shm_manifest: "dict[str, t.Any] | None" = None,
-    fast_replay: bool = True,
     dataset_root: str | None = None,
 ) -> tuple[ExperimentResult, str]:
     """Worker entry point (module-level so it pickles into the pool).
 
     With a trace root, resolves the point through the trace store —
-    replaying an existing artifact (vectorized fast path first, DES
-    replay on fallback), capturing a new one, or falling back to direct
-    simulation when the config's behaviour is timing-dependent (faults,
-    speculation) or a replay diverges.
+    replaying an existing artifact, capturing a new one, or falling
+    back to direct simulation when the config's behaviour is
+    timing-dependent (faults, speculation) or a replay diverges.
 
     ``shm_manifest`` maps behaviour keys to shared-memory segment
     descriptors published by the parent; installing it lets the trace
@@ -173,7 +170,6 @@ def _execute_point(
                 config,
                 TraceStore(trace_root),
                 observer=observer,
-                fast_replay=fast_replay,
             )
             status = _TRACE_STATUS[how]
     if observer is not None:
@@ -381,12 +377,6 @@ class CampaignRunner:
         the full engine once and replays the captured trace for every
         other tier/MBA/socket point — value-identical, much faster.
         ``False`` simulates every point in full.
-    fast_replay:
-        ``True`` (default) serves trace hits through the vectorized
-        fast-path re-timer (bit-identical to DES replay, with automatic
-        fallback for points it cannot express; observed points take the
-        fast path too).  ``False`` forces event-by-event DES replay for
-        every hit.
     dataset_cache:
         ``True`` (default) persists generated input datasets as
         memory-mapped artifacts under ``dataset_dir`` (default
@@ -425,7 +415,6 @@ class CampaignRunner:
         trace_dir: str | Path | None = None,
         observe: t.Any = None,
         options: RunOptions | None = None,
-        fast_replay: bool = True,
         dataset_cache: bool = True,
         dataset_dir: str | Path | None = None,
     ) -> None:
@@ -437,7 +426,6 @@ class CampaignRunner:
             cache_dir = kw["cache_dir"]
             resume = kw["resume"]
             reuse_traces = kw["reuse_traces"]
-            fast_replay = kw["fast_replay"]
             dataset_cache = kw["dataset_cache"]
             trace_dir = kw["trace_dir"]
             dataset_dir = kw["dataset_dir"]
@@ -445,7 +433,6 @@ class CampaignRunner:
         if workers is not None and workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers or 0
-        self.fast_replay = fast_replay
         #: Lazily-created persistent resources: "pool" (the process
         #: pool) and "shm" (the shared-trace cache).  Held in a plain
         #: dict so the exit finalizer can release them without keeping
@@ -703,7 +690,6 @@ class CampaignRunner:
                             trace_root,
                             obs_dir,
                             None,
-                            self.fast_replay,
                             dataset_root,
                         )
                         self._record(point, result, status)
@@ -738,7 +724,6 @@ class CampaignRunner:
                 trace_root,
                 obs_dir,
                 shm_manifest,
-                self.fast_replay,
                 dataset_root,
             ): point
             for point in primaries
@@ -889,7 +874,6 @@ def run_campaign(
     trace_dir: str | Path | None = None,
     observe: t.Any = None,
     options: RunOptions | None = None,
-    fast_replay: bool = True,
     dataset_cache: bool = True,
     dataset_dir: str | Path | None = None,
 ) -> CampaignReport:
@@ -909,7 +893,6 @@ def run_campaign(
         trace_dir=trace_dir,
         observe=observe,
         options=options,
-        fast_replay=fast_replay,
         dataset_cache=dataset_cache,
         dataset_dir=dataset_dir,
     )

@@ -23,6 +23,11 @@ from repro.service.jobs import (
     ServiceError,
 )
 
+#: Longest response line the client accepts.  asyncio's default stream
+#: limit (64 KiB) is far below a live ``metrics`` scrape of a busy
+#: service, whose Prometheus exposition and summary travel as one line.
+MAX_LINE_BYTES = 64 * 1024 * 1024
+
 _REJECTIONS: dict[str, type[ServiceError]] = {
     "queue_full": QueueFullError,
     "client_limit": ClientLimitError,
@@ -54,7 +59,7 @@ class ServiceClient:
 
     async def connect(self) -> "ServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_LINE_BYTES
         )
         return self
 

@@ -18,10 +18,12 @@ the same decisions *online*, per submission:
   client served least recently wins), then arrival order; replay-aware:
   the first job of a behaviour class *captures* its trace while later
   jobs of the class are held and then *replay* it (the campaign
-  runner's two-wave plan, online) — by default through the vectorized
-  fast-path re-timer, with the captured artifact published once to
-  shared memory so pooled replay workers attach zero-copy views
-  instead of re-inflating gzip + pickle per job;
+  runner's two-wave plan, online) — through the vectorized replay
+  engine, with the captured artifact published once to shared memory
+  so pooled replay workers attach zero-copy views instead of
+  re-inflating gzip + pickle per job; a job whose config is
+  timing-dependent (faults, speculation) or whose replay diverges is
+  simulated directly;
 - **events & observability** — every job streams
   ``queued → coalesced/started → progress → done/failed`` events, and
   the service keeps a :class:`~repro.obs.MetricsRegistry` (queue depth,
@@ -621,9 +623,8 @@ class ExperimentService:
         obs_dir = None if self._obs_dir is None else str(self._obs_dir)
         if self._execute is _execute_point:
             # The stock entry point understands the shared-memory
-            # manifest, the fast-replay switch and the dataset-artifact
-            # root; ``execute=`` overrides keep the documented
-            # 3-argument contract.
+            # manifest and the dataset-artifact root; ``execute=``
+            # overrides keep the documented 3-argument contract.
             pool_future = self._loop.run_in_executor(
                 self._executor,
                 self._execute,
@@ -631,7 +632,6 @@ class ExperimentService:
                 trace_root,
                 obs_dir,
                 self._publish_trace(job),
-                self.options.fast_replay,
                 None if self._dataset_root is None else str(self._dataset_root),
             )
         else:

@@ -88,9 +88,20 @@ class RDD(t.Generic[T]):
         return data
 
     def _observe(self, data: list[T]) -> None:
-        """Update the record-size estimate from computed data."""
-        if self._record_bytes is None and data:
+        """Update the record-size estimate from computed data.
+
+        The first non-empty partition evaluated fixes the estimate for
+        the whole RDD, so the value can depend on evaluation order; a
+        trace recorder notes which task fixed it.
+        """
+        if not data:
+            return
+        fixes = self._record_bytes is None
+        if fixes:
             self._record_bytes = estimate_record_bytes(data)
+        recorder = self.sc.trace_recorder
+        if recorder is not None:
+            recorder.observe_partition(self.rdd_id, fixes)
 
     @property
     def record_bytes(self) -> float:

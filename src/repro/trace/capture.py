@@ -7,13 +7,20 @@ fed by three instrumentation points:
   (:meth:`begin_job`/:meth:`end_job`);
 - ``DAGScheduler._submit_stage_attempt`` brackets each task-set
   submission (:meth:`begin_task_set`/:meth:`end_task_set`), capturing
-  stage provenance, the output path and the ``least_loaded`` placement
-  weights;
+  stage provenance and the output path;
 - ``Executor._evaluate`` reports each task's residue the instant its
   partition pipeline finishes (:meth:`record_evaluation`) — evaluation
   is atomic in simulated time, so the un-drained
   :class:`~repro.spark.task.TaskContext` totals *are* the task's whole
   contribution.
+
+A fourth point, ``RDD._observe``, reports every non-empty partition
+evaluation (:meth:`observe_partition`).  An RDD's record-size estimate
+is fixed by the first such partition, so residues hold only while the
+same task fixes it: another timing can reorder a stage's tasks.  The
+recorder stores which tasks fixed an estimate (``fix_order``) and which
+fixing task each task must follow (``fix_after``); replay diverges when
+a timing breaks that order.
 
 Recording only observes; a captured run is bit-identical to an
 unrecorded one.  Anything the replay model cannot reproduce (a retried
@@ -69,6 +76,9 @@ class TraceRecorder:
         self._current_job: JobTrace | None = None
         self._pending_set: dict[str, t.Any] | None = None
         self._residues: dict[int, dict[str, t.Any]] | None = None
+        #: RDD ids the running evaluation fixed / saw, for its residue.
+        self._fixes: set[int] = set()
+        self._touches: set[int] = set()
 
     # -- validity -----------------------------------------------------------------
     @property
@@ -101,28 +111,21 @@ class TraceRecorder:
         attempt: int,
         hdfs_path: str | None,
         is_shuffle_map: bool,
-        tasks: list["Task"],
     ) -> None:
         if self._current_job is None:
             self.mark_invalid("task set submitted outside a recorded job")
         if attempt > 0:
             self.mark_invalid("stage resubmission is timing-dependent")
-        weights: dict[int, int] = {}
-        for task in tasks:
-            slices = getattr(task.rdd, "_slices", None)
-            if slices is not None and task.partition < len(slices):
-                weights[task.task_id] = len(slices[task.partition])
-            else:
-                weights[task.task_id] = -1
         self._pending_set = {
             "stage_id": stage_id,
             "name": name,
             "attempt": attempt,
             "hdfs_path": hdfs_path,
             "is_shuffle_map": is_shuffle_map,
-            "weights": weights,
         }
         self._residues = {}
+        self._fixes = set()
+        self._touches = set()
 
     def end_task_set(self, tasks: list["Task"], outcome: t.Any) -> None:
         pending, residues = self._pending_set, self._residues
@@ -140,6 +143,15 @@ class TraceRecorder:
         ):
             self.mark_invalid("fault-tolerance activity is timing-dependent")
             return
+        # ``residues`` fills in evaluation order, so the fixing tasks are
+        # numbered in the order they ran.
+        fix_order: dict[int, int] = {}
+        fixer_of: dict[int, int] = {}
+        for task_id, residue in residues.items():
+            if residue["fixes"]:
+                fix_order[task_id] = len(fix_order)
+            for rdd_id in residue["fixes"]:
+                fixer_of[rdd_id] = task_id
         ordered: list[dict[str, t.Any]] = []
         for task in tasks:
             residue = residues.get(task.task_id)
@@ -148,7 +160,16 @@ class TraceRecorder:
                     f"task {task.task_id} finished without a recorded residue"
                 )
                 return
-            residue["weight"] = pending["weights"][task.task_id]
+            fixes, touches = residue.pop("fixes"), residue.pop("touches")
+            residue["fix_order"] = fix_order.get(task.task_id, -1)
+            residue["fix_after"] = max(
+                (
+                    fix_order[fixer_of[rdd_id]]
+                    for rdd_id in touches - fixes
+                    if rdd_id in fixer_of
+                ),
+                default=-1,
+            )
             ordered.append(residue)
         if self._current_job is not None:
             self._current_job.task_sets.append(
@@ -161,6 +182,15 @@ class TraceRecorder:
                     residues=ordered,
                 )
             )
+
+    # -- RDD hook ------------------------------------------------------------------
+    def observe_partition(self, rdd_id: int, fixes: bool) -> None:
+        """The running evaluation computed a non-empty partition of RDD
+        ``rdd_id``; ``fixes`` when it fixed the RDD's record-size
+        estimate."""
+        if fixes:
+            self._fixes.add(rdd_id)
+        self._touches.add(rdd_id)
 
     # -- executor hook -------------------------------------------------------------
     def record_evaluation(
@@ -218,7 +248,11 @@ class TraceRecorder:
             "result_len": result_len,
             "result_truthy": int(bool(result)),
             "record_bytes": task.rdd.record_bytes,
+            "fixes": self._fixes,
+            "touches": self._touches,
         }
+        self._fixes = set()
+        self._touches = set()
 
     # -- assembly ------------------------------------------------------------------
     def build(

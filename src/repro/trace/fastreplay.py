@@ -1,35 +1,40 @@
-"""Fast-path replay: re-time a trace without the generic DES kernel.
+"""The replay engine: re-time a captured trace under a new configuration.
 
-DES replay (:mod:`repro.trace.replay`) drives the *real* scheduler,
-executors and resources through the generic simulation kernel — every
-task pays for Event objects, condition churn and Process bookkeeping it
-never observes.  Fast replay exploits the fact that a replayable trace
-has a **fixed, fault-free workload shape**: round-robin placement, one
-attempt per task, no retries, no speculation, no injected losses.  Under
-that shape the event graph is known up front, so this module walks it
-with a specialised micro-kernel (a bare heap of ``(time, priority, seq)``
-entries driving plain generators) while calling the *unchanged* model
-arithmetic — :meth:`MemoryDevice.service_time`/:meth:`~MemoryDevice.record`,
-:meth:`CpuSpec.compute_seconds`, the datanode share formula, the RAPL/
-ipmctl readers and the derived-event formulas — against real
-:class:`MemoryDevice` instances.  Because both kernels schedule the same
-state-mutating events in the same relative order and every quantity is
-produced by the same code, every simulated time, counter and energy
-value is **bit-identical** to DES replay (and hence to direct
-simulation, which PR 4 pinned).
+A replayable trace has a **fixed, fault-free workload shape**:
+round-robin placement, one attempt per task, no retries, no
+speculation, no injected losses.  Under that shape the event graph is
+known up front, so this module walks it with a specialised micro-kernel
+(a bare heap of ``(time, priority, seq)`` entries driving plain
+generators) instead of the generic simulation kernel, while calling the
+*unchanged* model arithmetic — :meth:`MemoryDevice.service_time`/
+:meth:`~MemoryDevice.record`, :meth:`CpuSpec.compute_seconds`, the
+datanode share formula, the RAPL/ipmctl readers and the derived-event
+formulas — against real :class:`MemoryDevice` instances.  The walk
+schedules the same state-mutating events in the same relative order a
+direct simulation does, and every quantity is produced by the same
+code, so every simulated time, counter and energy value is
+**bit-identical** to :func:`repro.core.experiment.run_experiment`.
+
+What replay deliberately skips: datagen, RDD pipelines, shuffle
+materialization, block-manager state and workload verification — their
+*effects* are already baked into the recorded residues and outputs.
 
 Residue preparation is numpy-vectorized: chunk counts, per-chunk
 profiles and HDFS output sizes are computed in batch straight from the
 columnar :class:`~repro.trace.records.TaskSetTrace` arrays before the
 walk starts.
 
-Geometries the micro-kernel cannot express raise
-:class:`FastReplayUnsupported`; :func:`repro.trace.replay.run_with_trace`
-falls back to DES replay (and from there to direct simulation), so the
-fast path is a pure optimisation with no behaviour change.
+Divergence handling: configurations whose behaviour (not just timing)
+differs from the capture — fault injection, speculation, a different
+behaviour key, an engine/format version mismatch, a corrupted artifact
+— raise :class:`ReplayDivergence`, and so does the walk when this
+timing reorders a stage's tasks so that another task would fix an RDD's
+record-size estimate (possible with several executors), or when
+anything unexpected happens; :func:`repro.trace.replay.run_with_trace`
+then falls back to direct simulation.
 
-Observed runs (``observe=``) take this path too: given an observer the
-re-timer emits the same span shapes DES replay produces — the
+Observed runs (``observe=``) replay too: given an observer the
+re-timer emits the span shapes a direct simulation produces — the
 experiment/phase/job/stage stack spans, retrospective task spans with
 their intra-task phases via :func:`repro.obs.hooks.emit_task_set_spans`,
 per-executor jvm-startup/stage-broadcast spans and per-stage device
@@ -73,18 +78,52 @@ from repro.spark.executor import (
 )
 from repro.spark.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.telemetry.collector import TelemetryCollector
+from repro.trace.capture import behavior_dict
 from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
-from repro.trace.replay import ReplayDivergence, check_compatible, is_replayable_config
+from repro.version import ENGINE_VERSION, TRACE_FORMAT_VERSION
 
 __all__ = [
-    "FastReplayUnsupported",
-    "fast_replay_eligibility",
+    "ReplayDivergence",
+    "check_compatible",
     "fast_replay_experiment",
+    "is_replayable_config",
 ]
 
 
-class FastReplayUnsupported(RuntimeError):
-    """The micro-kernel cannot express this config/trace; use DES replay."""
+class ReplayDivergence(RuntimeError):
+    """The trace cannot stand in for a direct simulation of this config."""
+
+
+def is_replayable_config(config: ExperimentConfig) -> tuple[bool, str]:
+    """Static gate: does this config's behaviour depend on timing?
+
+    Fault injection and speculation make the event sequence (retries,
+    kills, clone launches) depend on simulated durations, so their runs
+    must always be simulated in full.
+    """
+    if config.faults is not None:
+        return False, "fault injection changes scheduling behaviour"
+    if config.speculation:
+        return False, "speculation changes scheduling behaviour"
+    return True, ""
+
+
+def check_compatible(trace: WorkloadTrace, config: ExperimentConfig) -> None:
+    """Raise :class:`ReplayDivergence` unless ``trace`` covers ``config``."""
+    replayable, reason = is_replayable_config(config)
+    if not replayable:
+        raise ReplayDivergence(reason)
+    if trace.format_version != TRACE_FORMAT_VERSION:
+        raise ReplayDivergence(
+            f"trace format v{trace.format_version} != v{TRACE_FORMAT_VERSION}"
+        )
+    if trace.engine_version != ENGINE_VERSION:
+        raise ReplayDivergence(
+            f"trace from engine {trace.engine_version!r}, "
+            f"running {ENGINE_VERSION!r}"
+        )
+    if trace.behavior != behavior_dict(config):
+        raise ReplayDivergence("config behaviour differs from the capture")
 
 
 # -- micro-kernel ----------------------------------------------------------------
@@ -236,7 +275,7 @@ class _MicroKernel:
 
 
 class _FastExecutor:
-    """Mirror of one :class:`~repro.spark.executor.Executor`'s DES state.
+    """Mirror of one :class:`~repro.spark.executor.Executor`'s state.
 
     Holds fast resources for its slots/dispatch plus references to the
     shared socket threads, the bound device's queue and the *real*
@@ -283,7 +322,7 @@ class _FastExecutor:
         self.dispatch_overhead = conf.task_dispatch_overhead
         self.control_writes = conf.task_control_writes
         # Strict membind, in executor order — an oversubscribed tier
-        # raises the identical MemoryError a DES run would.
+        # raises the identical MemoryError a direct simulation would.
         self.allocator = MembindAllocator(memory.device)
         self._heap = self.allocator.allocate(conf.executor_memory)
         self.startup_ev: _FastEvent | None = None
@@ -346,6 +385,8 @@ class _TaskData:
         "hdfs_io",
         "disk_io",
         "out_nbytes",
+        "fix_order",
+        "fix_after",
     )
 
 
@@ -463,6 +504,7 @@ def _run_task(
     ex: _FastExecutor,
     dn: _FastDataNode,
     td: _TaskData,
+    fixed: list[int],
 ) -> t.Generator:
     """One task attempt, op-for-op like ``Executor.run_task`` on replay."""
     m = td.metrics
@@ -494,8 +536,19 @@ def _run_task(
     yield (_ACQUIRE, ex.threads)
     m.cpu_wait = kernel.now - cpu_wait_started
 
-    # Evaluation: inject the recorded residue (ReplayRDD.iterator +
-    # TaskContext.drain_profile, collapsed).
+    # An RDD's record-size estimate comes from the first partition
+    # evaluated: the capture's fixing tasks must evaluate in their
+    # order, and every task after the fixing tasks of the RDDs it shares.
+    if td.fix_after >= fixed[0] or td.fix_order not in (-1, fixed[0]):
+        raise ReplayDivergence(
+            f"stage {m.stage_id}: task {td.task_id} evaluated before the "
+            "task that fixed a record-size estimate at capture"
+        )
+    if td.fix_order >= 0:
+        fixed[0] += 1
+
+    # Evaluation: inject the recorded residue (the pipeline's charges
+    # and TaskContext.drain_profile, collapsed).
     m.bytes_read += td.m_bytes_read
     m.bytes_written += td.m_bytes_written
     m.records_read += td.m_records_read
@@ -556,10 +609,9 @@ def _run_task(
     out_nbytes = td.out_nbytes
     if out_nbytes is not None:
         if out_nbytes < 0:
-            # A truthy result that had no len(): DES replay's output
-            # branch raises TypeError inside the executor, which
-            # ``replay_experiment`` wraps — reproduce that exact verdict
-            # so the caller falls straight to direct simulation.
+            # A truthy result that had no len(): the executor's output
+            # branch cannot size the write, so the residue cannot stand
+            # in for the run and the caller re-simulates in full.
             raise ReplayDivergence("replay failed: recorded result had no len()")
         output_started = kernel.now
         page = AccessProfile(bytes_read=out_nbytes, bytes_written=out_nbytes)
@@ -614,7 +666,7 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
         out_sizes = (result_len * record_bytes).astype(np.int64)
         # Unsized results (recorded len of -1) keep a negative sentinel
         # regardless of record_bytes; the walk turns a truthy one into
-        # the same divergence verdict DES replay produces.
+        # a divergence verdict.
         out_sizes[result_len < 0] = -1
         out_nbytes = out_sizes.tolist()
         out_mask = truthy.tolist()
@@ -625,7 +677,7 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
     cols = {
         name: arr.tolist()
         for name, arr in (*f.items(), *ints.items())
-        if name not in ("record_bytes", "result_len", "result_truthy", "weight")
+        if name not in ("record_bytes", "result_len", "result_truthy")
     }
     n_chunks_l = n_chunks.tolist()
     ops_chunk_l = ops_chunk.tolist()
@@ -694,6 +746,8 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
             ),
         ]
         td.out_nbytes = out_nbytes[i] if out_mask is not None and out_mask[i] else None
+        td.fix_order = cols["fix_order"][i]
+        td.fix_after = cols["fix_after"][i]
         out.append(td)
     return out
 
@@ -709,6 +763,8 @@ def _run_task_set(
 ) -> None:
     """One ``run_task_set``: broadcasts first, then round-robin tasks."""
     remaining = [len(executors) + len(tasks)]
+    #: Fixing tasks evaluated so far (see ``_run_task``).
+    fixed = [0]
 
     def done() -> None:
         remaining[0] -= 1
@@ -718,7 +774,7 @@ def _run_task_set(
     pool_size = len(executors)
     for i, td in enumerate(tasks):
         ex = executors[i % pool_size]
-        kernel.spawn(_run_task(kernel, ex, dn, td), on_done=done)
+        kernel.spawn(_run_task(kernel, ex, dn, td, fixed), on_done=done)
     kernel.run_until(remaining)
 
 
@@ -734,11 +790,11 @@ def _replay_job(
     machine: t.Any | None = None,
     registry: t.Any | None = None,
 ) -> None:
-    """Mirror of ``TracePlayer._replay_job`` metric bookkeeping.
+    """Mirror of ``DAGScheduler.run_job`` metric bookkeeping for one job.
 
     Observed runs pass tracer/conf/machine/registry and get the same
     job/stage stack spans, retrospective task spans, device-counter
-    samples and ``job.*`` metrics DES replay records.
+    samples and ``job.*`` metrics a direct simulation records.
     """
     job = JobMetrics(
         job_id=job_trace.job_id,
@@ -797,30 +853,6 @@ def _replay_job(
     jobs.append(job)
 
 
-# -- eligibility gate ------------------------------------------------------------
-
-
-def fast_replay_eligibility(
-    config: ExperimentConfig, trace: WorkloadTrace
-) -> tuple[bool, str]:
-    """Static gate: can the micro-kernel express this point exactly?
-
-    Anything the fixed fault-free workload shape cannot cover — faults,
-    speculation, non-round-robin placement — is rejected so the caller
-    falls back to DES replay.  The unsized-result HDFS write residue is
-    expressible: the walk raises the same
-    :class:`~repro.trace.replay.ReplayDivergence` verdict DES replay
-    produces, without paying for a second doomed replay.
-    """
-    replayable, reason = is_replayable_config(config)
-    if not replayable:
-        return False, reason
-    policy = config.spark_conf().extra.get("scheduler_policy", "round_robin")
-    if policy != "round_robin":
-        return False, f"scheduler policy {policy!r} is not expressible"
-    return True, ""
-
-
 # -- entry point -----------------------------------------------------------------
 
 
@@ -829,23 +861,21 @@ def fast_replay_experiment(
     trace: WorkloadTrace,
     observer: t.Any | None = None,
 ) -> ExperimentResult:
-    """Re-time ``trace`` under ``config``; bit-identical to DES replay.
+    """Re-time ``trace`` under ``config``; bit-identical to direct sim.
 
-    Raises :class:`~repro.trace.replay.ReplayDivergence` for trace/config
-    mismatches (same contract as ``replay_experiment``) and
-    :class:`FastReplayUnsupported` for geometries the micro-kernel cannot
-    express; callers fall back to DES replay for the latter.  An
-    oversubscribed memory tier raises the identical ``MemoryError`` the
-    DES path produces.  An attached :class:`repro.obs.Observer` records
-    the replayed jobs with the same span shapes and registry metrics DES
-    replay emits, stamped with the identical simulated times.
+    Raises :class:`ReplayDivergence` when the trace cannot reproduce the
+    config's behaviour — a trace/config mismatch, a failed checksum, a
+    reordered stage (see ``_run_task``), or any unexpected error during
+    the walk (callers fall back to
+    :func:`~repro.core.experiment.run_experiment`).  An oversubscribed
+    memory tier raises the identical ``MemoryError`` a direct simulation
+    produces.  An attached :class:`repro.obs.Observer` records the
+    replayed jobs with the span shapes and registry metrics a direct
+    simulation emits, stamped with the identical simulated times.
     """
     check_compatible(trace, config)
     if not trace.intact:
         raise ReplayDivergence("trace artifact failed its checksum")
-    eligible, reason = fast_replay_eligibility(config, trace)
-    if not eligible:
-        raise FastReplayUnsupported(reason)
 
     env = (
         observer.make_environment()
@@ -926,14 +956,14 @@ def fast_replay_experiment(
                 replay_jobs(trace.jobs[trace.measured_from :])
             execution_time = kernel.now - run_started
             sample = collector.stop(view)
-    except (ReplayDivergence, FastReplayUnsupported):
+    except ReplayDivergence:
         if tracer is not None:
             tracer.finish()
         raise
-    except Exception as exc:  # pragma: no cover - defensive fallback
+    except Exception as exc:  # noqa: BLE001 - divergence, not a bug report
         if tracer is not None:
             tracer.finish()
-        raise FastReplayUnsupported(f"fast replay failed: {exc}") from exc
+        raise ReplayDivergence(f"replay failed: {exc}") from exc
     finally:
         for ex in executors:
             ex.allocator.free_all()

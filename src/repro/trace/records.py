@@ -49,8 +49,11 @@ FLOAT_FIELDS: tuple[str, ...] = (
 )
 
 #: Per-task residue fields stored as int64 columns.  ``result_len`` is
-#: ``-1`` for unsized results, ``weight`` is ``-1`` when the stage RDD
-#: exposed no partition slices (the ``least_loaded`` placement weight).
+#: ``-1`` for unsized results.  Among the tasks of a task set that fixed
+#: some RDD's record-size estimate, ``fix_order`` numbers them in
+#: evaluation order (``-1`` for the others); ``fix_after`` is the
+#: highest ``fix_order`` of a task that fixed an estimate for an RDD
+#: this task also evaluated (``-1`` if none).
 INT_FIELDS: tuple[str, ...] = (
     "task_id",
     "partition",
@@ -64,7 +67,8 @@ INT_FIELDS: tuple[str, ...] = (
     "m_cache_misses",
     "result_len",
     "result_truthy",
-    "weight",
+    "fix_order",
+    "fix_after",
 )
 
 #: Ragged per-task I/O queues (ordered byte volumes), CSR-encoded as an

@@ -26,7 +26,7 @@ parent — decompress once, map many:
 
 The rebuilt trace is bit-identical to the pickled original — the arrays
 are the same bytes, so ``WorkloadTrace.intact`` verifies the same
-checksum and replay (DES or fast-path) produces the same values.
+checksum and replay produces the same values.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.core.correlation import (
     metric_time_correlation,
     pearson,
 )
-from repro.core.experiment import ExperimentConfig, run_experiment, run_experiments
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.microbench import measure_tier_specs
 from repro.core.placement import (
     DATA_CATEGORY_AFFINITIES,
@@ -66,17 +66,6 @@ def test_run_experiment_populates_telemetry():
     assert result.energy_joules("numa2-nvm4") > 0
     row = result.summary_row()
     assert row["verified"] is True
-
-
-def test_run_experiments_batch_with_progress():
-    seen = []
-    configs = [
-        ExperimentConfig(workload="sort", size="tiny", tier=t) for t in (0, 2)
-    ]
-    with pytest.warns(DeprecationWarning, match="repro.api.campaign"):
-        results = run_experiments(configs, progress=seen.append)
-    assert len(results) == 2
-    assert seen == configs
 
 
 def test_dram_run_has_no_nvm_traffic():
@@ -178,11 +167,11 @@ def test_mba_sweep_insensitive(quick_levels=(10, 50, 100)):
     assert sweep.times[10] >= sweep.times[100]
 
 
-def test_mba_sweep_legacy_signature_deprecated():
-    with pytest.warns(DeprecationWarning, match="base ExperimentConfig"):
-        sweep = mba_sweep("repartition", "tiny", tier=2, levels=(50, 100))
-    assert set(sweep.times) == {50, 100}
-    assert sweep.workload == "repartition" and sweep.tier == 2
+def test_sweeps_reject_a_workload_name_base():
+    with pytest.raises(TypeError, match="base ExperimentConfig"):
+        mba_sweep("repartition", "tiny", tier=2, levels=(50, 100))
+    with pytest.raises(TypeError, match="base ExperimentConfig"):
+        executor_core_sweep("repartition", "tiny", executors=(1,), cores=(40,))
 
 
 def test_sweeps_propagate_base_fields():

@@ -80,6 +80,25 @@ def test_metrics_op_serves_parseable_exposition_with_tier_labels():
     assert scrape["clients"] == {}
 
 
+def test_metrics_op_round_trips_a_scrape_larger_than_64_kib():
+    """A busy service's scrape is one response line far past asyncio's
+    default 64 KiB stream limit; the client must still read it."""
+    async def go():
+        server = make_server()
+        host, port = await server.start()
+        for i in range(4000):
+            server.service.metrics.inc(f"test.padding_series_{i}")
+        async with ServiceClient(host, port, client="scraper") as client:
+            scrape = await client.metrics()
+        await server.close()
+        return scrape
+
+    scrape = asyncio.run(go())
+    assert len(scrape["prometheus"]) > 64 * 1024
+    series = parse_prometheus(scrape["prometheus"])
+    assert series[("repro_test_padding_series_3999_total", "")] == 1.0
+
+
 def test_http_metrics_listener_end_to_end():
     async def http_get(host, port, path):
         reader, writer = await asyncio.open_connection(host, port)

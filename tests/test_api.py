@@ -1,4 +1,4 @@
-"""The repro.api facade: run / sweep / campaign, and the compat shims."""
+"""The repro.api facade: run / sweep / campaign."""
 
 import pytest
 
@@ -19,7 +19,6 @@ def test_facade_reexported_from_top_level():
 def test_old_import_paths_still_work():
     """The deprecation policy: pre-facade entry points stay importable."""
     from repro import ExperimentConfig, run_experiment  # noqa: F401
-    from repro.core.experiment import run_experiments  # noqa: F401
     from repro.core.sweeps import executor_core_sweep, mba_sweep  # noqa: F401
     from repro.core.characterization import characterize  # noqa: F401
 
@@ -68,12 +67,11 @@ def test_sweep_raises_on_point_failure():
 def test_campaign_smoke_with_cache(tmp_path):
     base = api.config(workload="repartition", size="tiny")
     configs = [base.with_options(tier=t) for t in (0, 2)]
-    # The legacy per-function keywords still work, with a deprecation nudge.
-    with pytest.warns(DeprecationWarning, match="options=RunOptions"):
-        report = api.campaign(configs, workers=2, cache_dir=tmp_path / "c")
+    report = api.campaign(
+        configs, options=api.RunOptions(workers=2, cache_dir=tmp_path / "c")
+    )
     assert report.executed == 2 and not report.failures
-    with pytest.warns(DeprecationWarning, match="options=RunOptions"):
-        rerun = api.campaign(configs, cache_dir=tmp_path / "c")
+    rerun = api.campaign(configs, options=api.RunOptions(cache_dir=tmp_path / "c"))
     assert rerun.executed == 0 and rerun.cache_hits == 2
 
 

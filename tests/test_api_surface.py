@@ -1,9 +1,8 @@
 """Snapshot tests pinning the public API surface.
 
 The redesign promise is that ``repro.api`` exposes exactly the unified
-surface (``RunOptions``/``Session`` + the three verbs) and that the
-pre-``RunOptions`` keywords keep working as *deprecated shims* — one
-warning per call, identical behaviour.  ``inspect.signature`` snapshots
+surface (``RunOptions``/``Session`` + the three verbs), with execution
+knobs passed only through ``options=``.  ``inspect.signature`` snapshots
 turn accidental signature drift into a test failure with a diff, so any
 intentional change has to edit the expected text here (and the docs).
 """
@@ -53,15 +52,14 @@ def test_verb_signatures_are_pinned():
         "(base: 'ExperimentConfig | str', axis: 'str', "
         "values: 't.Iterable[t.Any]', *, "
         "options: 'RunOptions | None' = None, "
-        "progress: 't.Callable[[CampaignProgress], None] | None' = None, "
-        "**legacy: 't.Any') -> 'list[ExperimentResult]'"
+        "progress: 't.Callable[[CampaignProgress], None] | None' = None) "
+        "-> 'list[ExperimentResult]'"
     )
     assert sig(api.campaign) == (
         "(configs: 't.Iterable[ExperimentConfig]', *, "
         "options: 'RunOptions | None' = None, "
         "progress: 't.Callable[[CampaignProgress], None] | None' = None, "
-        "runner: 'CampaignRunner | None' = None, "
-        "**legacy: 't.Any') -> 'CampaignReport'"
+        "runner: 'CampaignRunner | None' = None) -> 'CampaignReport'"
     )
     assert sig(api.config) == (
         "(workload: 'str', **fields: 't.Any') -> 'ExperimentConfig'"
@@ -84,7 +82,7 @@ def test_session_surface_is_pinned():
 def test_run_options_fields_are_pinned():
     assert OPTION_FIELDS == (
         "workers", "cache_dir", "observe", "reuse_traces",
-        "fast_replay", "dataset_cache", "trace_dir", "dataset_dir",
+        "dataset_cache", "trace_dir", "dataset_dir",
         "resume", "priority", "metrics_port",
     )
     options = RunOptions()
@@ -92,7 +90,6 @@ def test_run_options_fields_are_pinned():
     assert options.cache_dir is None
     assert options.observe is None
     assert options.reuse_traces is True
-    assert options.fast_replay is True
     assert options.dataset_cache is True
     assert options.trace_dir is None
     assert options.dataset_dir is None
@@ -131,49 +128,7 @@ def test_run_options_dataset_root_derivation(tmp_path):
     ).dataset_root() == tmp_path / "elsewhere"
 
 
-# ---------------------------------------------------------------- shims
-def test_sweep_legacy_kwargs_warn_exactly_once_and_forward(tmp_path):
-    base = api.config("sort", size="tiny")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = api.sweep(
-            base, axis="tier", values=(0, 2),
-            cache_dir=str(tmp_path / "cache"), reuse_traces=False,
-        )
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "cache_dir=" in message and "reuse_traces=" in message
-    assert "options=RunOptions" in message
-
-    modern = api.sweep(
-        base, axis="tier", values=(0, 2),
-        options=RunOptions(cache_dir=str(tmp_path / "cache2"),
-                           reuse_traces=False),
-    )
-    assert [r.execution_time for r in legacy] == [
-        r.execution_time for r in modern
-    ]
-
-
-def test_run_legacy_observe_warns_and_forwards():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = api.run("sort", size="tiny", observe=True)
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 1
-    assert result.execution_time == api.run("sort", size="tiny").execution_time
-
-
-def test_mixing_options_and_legacy_kwargs_raises():
-    with pytest.raises(TypeError, match="not both"):
-        api.sweep(
-            "sort", axis="tier", values=(0,),
-            options=RunOptions(), workers=2,
-        )
-
-
+# ---------------------------------------------------------------- options
 def test_unknown_kwargs_still_raise_type_error():
     with pytest.raises(TypeError, match="unexpected keyword"):
         api.campaign([], wrokers=2)  # typo must not become a silent no-op

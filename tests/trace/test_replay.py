@@ -22,10 +22,12 @@ from repro.trace import (
     trace_key,
 )
 
-SETTINGS = settings(max_examples=20, deadline=None)
+SETTINGS = settings(max_examples=40, deadline=None)
 
 #: Captures are the expensive half; share them across hypothesis
 #: examples, keyed by behaviour (the same key the on-disk store uses).
+#: The behaviour key folds in executor geometry, so every geometry gets
+#: its own capture and replays vary only the timing axes.
 _CAPTURES: dict[str, object] = {}
 
 
@@ -44,18 +46,25 @@ def capture_for(config: ExperimentConfig):
 # ------------------------------------------------------------------ property
 
 @given(
-    workload=st.sampled_from(["sort", "repartition"]),
+    workload=st.sampled_from(["sort", "repartition", "wordcount"]),
     tier=st.integers(0, 3),
-    mba=st.sampled_from([10, 40, 70, 100]),
+    mba=st.sampled_from([10, 30, 40, 50, 70, 90, 100]),
     socket=st.sampled_from([0, 1]),
-    geometry=st.sampled_from([(1, 40), (2, 4)]),
+    geometry=st.sampled_from([(1, 40), (2, 4), (3, 8), (4, 2)]),
 )
 @SETTINGS
 def test_replay_equals_direct_simulation(workload, tier, mba, socket, geometry):
     """The tentpole guarantee, as a property over the timing axes:
     replaying one capture under any tier/MBA/socket (per executor
     geometry) equals a from-scratch simulation bit for bit — simulated
-    time, verification, telemetry counters, energy, outputs."""
+    time, verification, telemetry counters, energy, mitigation,
+    outputs.
+
+    With several executors a timing can reorder a stage's tasks so that
+    another task fixes an RDD's record-size estimate (it comes from the
+    first partition evaluated), and residues depend on it.  Replay must
+    then refuse, only then, and a capture at the target timing must
+    replay exactly."""
     executors, cores = geometry
     config = ExperimentConfig(
         workload=workload,
@@ -67,9 +76,31 @@ def test_replay_equals_direct_simulation(workload, tier, mba, socket, geometry):
         executor_cores=cores,
     )
     trace = capture_for(config)
-    replayed = replay_experiment(config, trace)
     direct = run_experiment(config)
+    try:
+        replayed = replay_experiment(config, trace)
+    except ReplayDivergence as exc:
+        assert executors > 1 and "fixed a record-size estimate" in str(exc)
+        _, own = capture_experiment(config)
+        assert fixing_tasks(own) != fixing_tasks(trace)
+        replayed = replay_experiment(config, own)
     assert result_to_dict(replayed) == result_to_dict(direct)
+
+
+def fixing_tasks(trace) -> list[list[tuple[int, int]]]:
+    """Per task set, the ``(fix_order, task_id)`` of every task that
+    fixed a record-size estimate, in evaluation order."""
+    return [
+        sorted(
+            (order, task_id)
+            for order, task_id in zip(
+                ts.ints["fix_order"].tolist(), ts.ints["task_id"].tolist()
+            )
+            if order >= 0
+        )
+        for job in trace.jobs
+        for ts in job.task_sets
+    ]
 
 
 # ------------------------------------------------------------ explicit grid
@@ -118,6 +149,24 @@ def test_check_compatible_rejects_behaviour_and_version_skew():
         check_compatible(
             dataclasses.replace(trace, engine_version="0-stale"), config
         )
+
+
+def test_reordered_evaluation_diverges_to_direct():
+    """wordcount on 3 executors evaluates another map task first on
+    Optane than on DRAM, and the first partition evaluated fixes the
+    record-size estimate: a DRAM capture cannot stand in for the Optane
+    point, so the point is simulated in full."""
+    config = ExperimentConfig(
+        workload="wordcount", size="tiny", tier=2,
+        num_executors=3, executor_cores=8,
+    )
+    _, trace = capture_experiment(config.with_options(tier=0))
+    assert trace is not None
+    with pytest.raises(ReplayDivergence, match="fixed a record-size estimate"):
+        replay_experiment(config, trace)
+    result, how = run_with_trace(config, _StubStore(trace))
+    assert how == "direct"
+    assert result_to_dict(result) == result_to_dict(run_experiment(config))
 
 
 def test_corrupted_residues_fail_the_checksum():
