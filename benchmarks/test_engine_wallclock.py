@@ -28,10 +28,14 @@ artifacts written by the cold pass).  Every traced pass must be
 value-identical to the direct one; the absolute-baseline gate
 additionally holds 4-wide pooled cold/warm passes to ≤ ½ / ≤ ⅓ of the
 committed serial wall clocks below.  ``BENCH_WORKERS`` sets the pool
-width (default: 4 on hosts with at least 4 cores, serial below that — a
-process pool on fewer cores only adds IPC cost),
-``BENCH_CAMPAIGN="workload:size,..."`` shrinks the grid (CI smoke) and
-``BENCH_CAMPAIGN=off`` skips it.
+width (default: 4 on hosts with at least 4 cores, serial below that —
+see :func:`bench_workers`), ``BENCH_CAMPAIGN="workload:size,..."``
+shrinks the grid (CI smoke) and ``BENCH_CAMPAIGN=off`` skips it.
+
+Pooled versus serial: ``test_pooled_warm_campaign_not_slower_than_serial``
+times the warm full grid on a 2-wide pool and serially in the same run
+(best of three each) and holds the pool to no slower than serial.  It
+needs no fixture, so CI runs that node alone on the full grid.
 
 Capture-phase measurement (schema 4): every pass shares one dataset-
 artifact directory (:mod:`repro.workloads.datacache`), so the direct
@@ -88,6 +92,10 @@ DEFAULT_POINTS: tuple[tuple[str, str, int], ...] = (
 #: Best-of-N timing: absorbs one-off warmup noise without long runs.
 ROUNDS = 2
 
+#: Pool width and best-of-N rounds of the pooled-versus-serial gate.
+POOL_WIDTH = 2
+POOL_ROUNDS = 3
+
 #: Fail only on a >50 % slowdown — wall-clock baselines travel across
 #: machines, so the gate must tolerate hardware variance.
 REGRESSION_LIMIT = 1.5
@@ -110,6 +118,16 @@ BASELINE_PATH = Path(__file__).parent / "baseline_engine.json"
 
 
 def bench_workers() -> int:
+    """Pool width of the campaign passes timed in :func:`time_campaign`.
+
+    ``BENCH_WORKERS`` overrides it.  By default 4 on hosts with at least
+    4 cores and serial below that: the absolute gates were set for a
+    4-wide pool, and the committed baseline's campaign was recorded
+    serially, so a narrower pool would compare against neither.  A
+    narrow pool is no longer slower than serial on a warm campaign —
+    ``test_pooled_warm_campaign_not_slower_than_serial`` holds that as
+    a same-run ratio.
+    """
     spec = os.environ.get("BENCH_WORKERS", "").strip()
     if spec:
         return max(1, int(spec))
@@ -401,10 +419,10 @@ def test_campaign_beats_pr4_serial_baseline(measurements):
     Full default grid only — a shrunk grid has different constants.
 
     The halving gates assume a ≥ 4-worker pool; on hosts with fewer
-    cores the parallel half of the win does not exist (a process pool
-    only adds IPC cost, so ``bench_workers`` degrades to serial), and
-    the absolute comparison is meaningless — skip with the reason, and
-    let ``test_warm_replay_speedup`` hold the replay contribution as a
+    cores the parallel half of the win does not exist (``bench_workers``
+    degrades to serial there), and the absolute comparison is
+    meaningless — skip with the reason, and let
+    ``test_warm_replay_speedup`` hold the replay contribution as a
     same-run ratio instead."""
     campaign = measurements.get("campaign")
     if campaign is None:
@@ -465,6 +483,50 @@ def test_second_pass_capture_hits_dataset_cache(measurements):
     for name, stats in capture["classes"].items():
         assert stats["hits"] > 0, (name, stats)
         assert stats["misses"] == 0, (name, stats)
+
+
+def test_pooled_warm_campaign_not_slower_than_serial(tmp_path):
+    """A pooled warm campaign is no slower than the serial loop.
+
+    The full Fig. 2 grid with every trace already captured, so every
+    point is a replay: run serially and on a ``POOL_WIDTH``-wide pool,
+    interleaved in the same run, best of ``POOL_ROUNDS`` each.  A
+    same-run ratio, so it holds on any host with the cores for the
+    pool; the two reports must also be value-identical.  Pool spawn is
+    part of the pooled wall, as it is for a one-shot
+    ``run_campaign``."""
+    if os.environ.get("BENCH_CAMPAIGN", "").strip():
+        pytest.skip(
+            "the gate times the full 84-point grid; BENCH_CAMPAIGN "
+            "shrinks or disables it"
+        )
+    cores = os.cpu_count() or 1
+    if cores < POOL_WIDTH:
+        pytest.skip(
+            f"a {POOL_WIDTH}-wide pool needs {POOL_WIDTH} cores; "
+            f"the host has {cores}"
+        )
+    grid = campaign_grid()
+    trace_dir = tmp_path / "traces"
+    run_campaign(grid, trace_dir=trace_dir).raise_on_failure()
+    walls: dict[int, list[float]] = {1: [], POOL_WIDTH: []}
+    reports = {}
+    for _ in range(POOL_ROUNDS):
+        for workers, runs in walls.items():
+            t0 = time.perf_counter()
+            report = run_campaign(grid, trace_dir=trace_dir, workers=workers)
+            runs.append(time.perf_counter() - t0)
+            report.raise_on_failure()
+            assert report.replayed == len(grid), report.summary()
+            reports[workers] = report
+    assert [result_to_dict(r) for r in reports[POOL_WIDTH].results] == [
+        result_to_dict(r) for r in reports[1].results
+    ], "pooled warm campaign is not value-identical to serial"
+    serial, pooled = min(walls[1]), min(walls[POOL_WIDTH])
+    assert pooled <= serial, (
+        f"{POOL_WIDTH}-wide pool {pooled:.3f}s vs serial {serial:.3f}s "
+        f"(ratio {pooled / serial:.2f}); walls {walls}"
+    )
 
 
 def test_simulated_values_match_baseline(measurements):

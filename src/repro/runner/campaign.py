@@ -43,6 +43,7 @@ import time
 import traceback
 import typing as t
 import weakref
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -86,8 +87,14 @@ def _paused_gc() -> t.Iterator[None]:
     simulated value depends on allocation timing, so pausing collection
     is a pure wall-clock win.  Reentrant-safe: an inner pause inside an
     already-paused region is a no-op, and only the frame that disabled
-    the collector restores it — with one catch-up collection so cyclic
-    garbage from the region cannot outlive it.
+    the collector restores it.
+
+    A point leaves no cyclic garbage (``tests/runner/test_gc.py``), so
+    resuming needs no full collection: the generational collector
+    reclaims whatever remains.  A full collection walks the whole heap —
+    in a pool worker, the heap it inherited from the parent too — and
+    after every pooled point it cost more than the point's replay.  The
+    serial wave still runs one collection at its end.
     """
     if not gc.isenabled():
         yield
@@ -97,7 +104,6 @@ def _paused_gc() -> t.Iterator[None]:
         yield
     finally:
         gc.enable()
-        gc.collect()
 
 
 def _execute_point(
@@ -117,8 +123,11 @@ def _execute_point(
     ``shm_manifest`` maps behaviour keys to shared-memory segment
     descriptors published by the parent; installing it lets the trace
     store resolve those keys zero-copy instead of re-reading the
-    artifact file (keys are content-addressed, so repeated installs
-    across a persistent worker's lifetime are cumulative and safe).
+    artifact file.  The parent sends only the descriptor of the point's
+    own trace key, so a submission stays small however many classes are
+    published; installs accumulate across a persistent worker's
+    lifetime (keys are content-addressed, so that is safe), and a worker
+    learns each class once.
 
     ``dataset_root`` activates the process-wide dataset artifact cache
     (:mod:`repro.workloads.datacache`) so capture/direct points load
@@ -448,6 +457,8 @@ class CampaignRunner:
             else:
                 self.cache.clear()
         self.progress = progress
+        #: Resolved points of the running campaign, by status.
+        self._tally: Counter[str] = Counter()
         self._trace_tmp: tempfile.TemporaryDirectory | None = None
         if not reuse_traces:
             self.trace_root: Path | None = None
@@ -497,6 +508,7 @@ class CampaignRunner:
         ]
         report = CampaignReport(points=points)
         started = time.monotonic()
+        self._tally = Counter()
 
         pending = self._resolve_cached(points)
         primaries, aliases = self._deduplicate(pending)
@@ -514,8 +526,8 @@ class CampaignRunner:
                     workers=self.workers,
                 )
                 if self.workers > 1:
-                    manifest = self._publish_wave_traces(wave)
-                    self._run_pool(wave, report, started, manifest)
+                    manifests = self._publish_wave_traces(wave)
+                    self._run_pool(wave, report, started, manifests)
                 else:
                     self._run_serial(wave, report, started)
             self._resolve_aliases(aliases, report, started)
@@ -557,8 +569,7 @@ class CampaignRunner:
         for point in points:
             hit = self.cache.get(point.config)
             if hit is not None:
-                point.result = hit
-                point.status = STATUS_CACHED
+                self._settle(point, STATUS_CACHED, result=hit)
             else:
                 pending.append(point)
         return pending
@@ -615,7 +626,7 @@ class CampaignRunner:
 
     def _publish_wave_traces(
         self, wave: list[CampaignPoint]
-    ) -> "dict[str, t.Any] | None":
+    ) -> "list[dict[str, t.Any] | None]":
         """Decompress-once, map-many: publish the wave's trace artifacts.
 
         Every artifact a pooled wave will replay is loaded once here in
@@ -623,40 +634,58 @@ class CampaignRunner:
         arrays are copied into shared memory; workers then attach
         zero-copy views instead of paying gzip + unpickle per point.
         Keys already published — earlier waves, earlier campaigns on
-        this runner — are skipped.  Returns the cumulative manifest, or
-        ``None`` when the wave has nothing to replay.
+        this runner — are reused.  Returns one manifest per point,
+        holding only the descriptor of that point's own trace key
+        (``None`` for points with nothing to replay: captures and
+        non-replayable configs).
         """
-        if self.trace_root is None or not wave:
-            return None
+        manifests: "list[dict[str, t.Any] | None]" = [None] * len(wave)
+        if self.trace_root is None:
+            return manifests
         from repro.trace import TraceStore, is_replayable_config, trace_key
 
         store = TraceStore(self.trace_root)
-        for point in wave:
+        by_key: "dict[str, dict[str, t.Any] | None]" = {}
+        for index, point in enumerate(wave):
             replayable, _ = is_replayable_config(point.config)
             if not replayable:
                 continue
             key = trace_key(point.config)
-            shm_cache = self._resources.get("shm")
-            if shm_cache is not None and key in shm_cache:
-                continue
-            trace = store.load(point.config)
+            if key not in by_key:
+                by_key[key] = self._shared_manifest(store, key, point.config)
+            manifests[index] = by_key[key]
+        return manifests
+
+    def _shared_manifest(
+        self, store: t.Any, key: str, config: ExperimentConfig
+    ) -> "dict[str, t.Any] | None":
+        """``{key: descriptor}``, publishing ``key``'s trace if need be.
+
+        ``None`` when the store has no artifact yet (a capture point).
+        """
+        shm_cache = self._resources.get("shm")
+        descriptor = None if shm_cache is None else shm_cache.touch(key)
+        if descriptor is None:
+            trace = store.load(config)
             if trace is None:
-                continue  # capture point — nothing to publish yet
+                return None
             if shm_cache is None:
                 from repro.trace.shm import SharedTraceCache
 
                 shm_cache = SharedTraceCache()
                 self._resources["shm"] = shm_cache
-            shm_cache.publish(key, trace)
-        shm_cache = self._resources.get("shm")
-        if shm_cache is None or len(shm_cache) == 0:
-            return None
-        return shm_cache.manifest()
+            descriptor = shm_cache.publish(key, trace)
+        return {key: descriptor}
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         pool = self._resources.get("pool")
         if pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            # ``gc.freeze`` parks the heap a forked worker inherits in
+            # the permanent generation: the collections a worker still
+            # runs never rescan (or copy-on-write) it.
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=gc.freeze
+            )
             self._resources["pool"] = pool
         return pool
 
@@ -678,10 +707,11 @@ class CampaignRunner:
 
         prev_cache = datacache.active()
         try:
-            # One collector pause spans the whole wave: serial points run
-            # back to back in this process, so the per-point pause inside
-            # ``_execute_point`` would re-enable (and catch-up collect)
-            # between every pair of points for no benefit.
+            # One collector pause spans the whole wave, with one
+            # catch-up collection at its end: serial points run back to
+            # back in this process, so the per-point pause inside
+            # ``_execute_point`` would re-enable the collector between
+            # every pair of points for no benefit.
             with _paused_gc():
                 for point in primaries:
                     try:
@@ -694,9 +724,13 @@ class CampaignRunner:
                         )
                         self._record(point, result, status)
                     except Exception as exc:  # noqa: BLE001 - point isolation
-                        point.error = f"{type(exc).__name__}: {exc}"
-                        point.status = STATUS_FAILED
+                        self._settle(
+                            point,
+                            STATUS_FAILED,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
                     self._emit_progress(report, started)
+            gc.collect()
         finally:
             if dataset_root is not None:
                 datacache.configure(
@@ -708,7 +742,7 @@ class CampaignRunner:
         primaries: list[CampaignPoint],
         report: CampaignReport,
         started: float,
-        shm_manifest: "dict[str, t.Any] | None" = None,
+        shm_manifests: "list[dict[str, t.Any] | None]",
     ) -> None:
         trace_root = None if self.trace_root is None else str(self.trace_root)
         obs_dir = None if self.obs_dir is None else str(self.obs_dir)
@@ -723,10 +757,10 @@ class CampaignRunner:
                 point.config,
                 trace_root,
                 obs_dir,
-                shm_manifest,
+                manifest,
                 dataset_root,
             ): point
-            for point in primaries
+            for point, manifest in zip(primaries, shm_manifests)
         }
         outstanding = set(futures)
         while outstanding:
@@ -736,8 +770,9 @@ class CampaignRunner:
                 exc = future.exception()
                 if exc is not None:
                     broken = broken or isinstance(exc, BrokenProcessPool)
-                    point.error = self._format_error(exc)
-                    point.status = STATUS_FAILED
+                    self._settle(
+                        point, STATUS_FAILED, error=self._format_error(exc)
+                    )
                 else:
                     result, status = future.result()
                     self._record(point, result, status)
@@ -759,11 +794,9 @@ class CampaignRunner:
         for index, primary in aliases.items():
             point = report.points[index]
             if primary.result is not None:
-                point.result = primary.result
-                point.status = STATUS_DEDUPED
+                self._settle(point, STATUS_DEDUPED, result=primary.result)
             else:
-                point.error = primary.error
-                point.status = STATUS_FAILED
+                self._settle(point, STATUS_FAILED, error=primary.error)
             self._emit_progress(report, started)
 
     def _export_observability(self, report: CampaignReport) -> None:
@@ -827,10 +860,22 @@ class CampaignRunner:
         result: ExperimentResult,
         status: str = STATUS_EXECUTED,
     ) -> None:
-        point.result = result
-        point.status = status
+        self._settle(point, status, result=result)
         if self.cache is not None:
             self.cache.put(point.config, result)
+
+    def _settle(
+        self,
+        point: CampaignPoint,
+        status: str,
+        result: ExperimentResult | None = None,
+        error: str | None = None,
+    ) -> None:
+        """Resolve ``point`` and count it for the progress reports."""
+        point.result = result
+        point.error = error
+        point.status = status
+        self._tally[status] += 1
 
     @staticmethod
     def _format_error(exc: BaseException) -> str:
@@ -842,18 +887,18 @@ class CampaignRunner:
     def _emit_progress(self, report: CampaignReport, started: float) -> None:
         if self.progress is None:
             return
-        resolved = [
-            p for p in report.points if p.result is not None or p.error is not None
-        ]
-        executed = sum(p.status in LIVE_STATUSES for p in resolved)
-        cached = sum(p.status in (STATUS_CACHED, STATUS_DEDUPED) for p in resolved)
-        failed = sum(p.status == STATUS_FAILED for p in resolved)
+        # Running tallies: rescanning every point per resolved point
+        # would make a campaign quadratic in its size.
+        tally = self._tally
+        executed = sum(tally[status] for status in LIVE_STATUSES)
+        cached = tally[STATUS_CACHED] + tally[STATUS_DEDUPED]
+        failed = tally[STATUS_FAILED]
         elapsed = time.monotonic() - started
         live = executed + failed
         per_point = elapsed / live if live else 0.0
         self.progress(
             CampaignProgress(
-                completed=len(resolved),
+                completed=executed + cached + failed,
                 total=len(report.points),
                 executed=executed,
                 cached=cached,

@@ -39,6 +39,7 @@ ever changes *when* work runs, never what it computes.
 from __future__ import annotations
 
 import asyncio
+import gc
 import heapq
 import tempfile
 import time
@@ -225,7 +226,11 @@ class ExperimentService:
         self._state_changed = asyncio.Event()
         workers = self.options.workers or 0
         if workers > 1:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+            # As in the campaign runner: frozen, the heap a worker
+            # inherits is never rescanned by its collections.
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=gc.freeze
+            )
         else:
             # Serial options still need the loop to stay responsive
             # while an experiment runs, so "serial" means one worker
@@ -648,9 +653,10 @@ class ExperimentService:
         behaviour class, the parent loads it once (through the store's
         load cache) and publishes the columnar arrays to shared memory;
         the dispatched worker — and every later worker replaying the
-        class — attaches a zero-copy view.  Returns the cumulative
-        manifest for the dispatch, or ``None`` when there is nothing to
-        share (serial pool, capture jobs, non-replayable configs).
+        class — attaches a zero-copy view.  Returns the manifest for the
+        dispatch, holding only the descriptor of the job's own trace
+        key, or ``None`` when there is nothing to share (serial pool,
+        capture jobs, non-replayable configs).
         """
         if self._trace_root is None or (self.options.workers or 0) <= 1:
             return None
@@ -660,33 +666,32 @@ class ExperimentService:
         if not replayable:
             return None
         key = trace_key(job.config)
-        if self._shm_cache is not None and key in self._shm_cache:
-            # Dispatching this class again makes it the most recently
-            # used — eviction under ``max_shm_bytes`` takes idle
-            # classes first.
-            self._shm_cache.touch(key)
-        else:
+        # Dispatching this class again makes it the most recently used —
+        # eviction under ``max_shm_bytes`` takes idle classes first.
+        descriptor = (
+            None if self._shm_cache is None else self._shm_cache.touch(key)
+        )
+        if descriptor is None:
             trace = TraceStore(self._trace_root).load(job.config)
-            if trace is not None:
-                if self._shm_cache is None:
-                    from repro.trace.shm import SharedTraceCache
+            if trace is None:
+                return None
+            if self._shm_cache is None:
+                from repro.trace.shm import SharedTraceCache
 
-                    self._shm_cache = SharedTraceCache(
-                        max_bytes=self.max_shm_bytes
-                    )
-                self._shm_cache.publish(key, trace)
-                self.metrics.inc("service.shm_published")
-                self.metrics.set_gauge(
-                    "service.shm_bytes", float(self._shm_cache.nbytes)
+                self._shm_cache = SharedTraceCache(
+                    max_bytes=self.max_shm_bytes
                 )
-                if self._shm_cache.evictions:
-                    self.metrics.set_gauge(
-                        "service.shm_evictions",
-                        float(self._shm_cache.evictions),
-                    )
-        if self._shm_cache is None or len(self._shm_cache) == 0:
-            return None
-        return self._shm_cache.manifest()
+            descriptor = self._shm_cache.publish(key, trace)
+            self.metrics.inc("service.shm_published")
+            self.metrics.set_gauge(
+                "service.shm_bytes", float(self._shm_cache.nbytes)
+            )
+            if self._shm_cache.evictions:
+                self.metrics.set_gauge(
+                    "service.shm_evictions",
+                    float(self._shm_cache.evictions),
+                )
+        return {key: descriptor}
 
     async def _finish(self, job: Job, pool_future: "asyncio.Future") -> None:
         try:

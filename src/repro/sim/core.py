@@ -103,6 +103,17 @@ class Environment:
         """Event that triggers when any of ``events`` succeeds."""
         return AnyOf(self, events)
 
+    def clear(self) -> None:
+        """Drop every queued event and recycled timeout.
+
+        Both refer back to this environment, so a finished simulation
+        that still holds some (a speculation timer that outlived its
+        stage) would otherwise be a reference cycle, left for the cyclic
+        collector instead of freed by reference counting.
+        """
+        self._queue.clear()
+        self._timeout_slab.clear()
+
     # -- scheduling / stepping ----------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Insert ``event`` into the queue ``delay`` time units from now."""

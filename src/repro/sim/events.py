@@ -228,6 +228,8 @@ class Condition(Event):
             return
 
         for event in self._events:
+            if self._value is not PENDING:
+                break  # fired on an already-processed event
             if event.callbacks is None:  # already processed
                 self._check(event)
             else:
@@ -247,10 +249,26 @@ class Condition(Event):
         if not event._ok:
             event.defuse()
             self.fail(t.cast(BaseException, event._value))
+            self._detach()
         elif self._evaluate(self._events, self._count):
             value = ConditionValue()
             self._populate_value(value)
             self.succeed(value)
+            self._detach()
+
+    def _detach(self) -> None:
+        """Drop ``_check`` from the component events still pending.
+
+        Once the condition has fired a stale ``_check`` only returns, but
+        it keeps the condition reachable from every pending component: a
+        reference cycle whenever a component (say a timer) outlives the
+        wait.
+        """
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:

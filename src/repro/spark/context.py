@@ -171,8 +171,10 @@ class SparkContext:
         testbed (and the cached partitions, shuffle segments and HDFS
         blocks hanging off it) is freed by reference counting the
         moment the caller drops it, instead of lingering for the cyclic
-        collector.  Campaigns pause that collector across whole waves
+        collector.  Campaigns pause that collector while points run
         (:mod:`repro.runner.campaign`), which this makes nearly free.
+        The environment's leftovers go too (:meth:`Environment.clear`):
+        nothing runs them after the context stops.
         """
         if self._stopped:
             return
@@ -181,6 +183,7 @@ class SparkContext:
         self.dag._shuffle_stages.clear()
         self.dag._stage_submissions.clear()
         self.dag.sc = None  # type: ignore[assignment]
+        self.env.clear()
         self._stopped = True
 
     def _check_active(self) -> None:

@@ -7,7 +7,8 @@ This package splits the engine accordingly:
 
 - :mod:`repro.trace.capture` — Phase 1: one full run through the real
   engine, recording each task's behavioural residue plus DAG structure
-  and workload outputs (:class:`~repro.trace.records.WorkloadTrace`);
+  and the workload's verdict and counters
+  (:class:`~repro.trace.records.WorkloadTrace`);
 - :mod:`repro.trace.fastreplay` — Phase 2: the replay engine, a
   micro-kernel re-timer that batch-prepares the residues with numpy and
   walks the fixed event graph against the real timing/energy model for

@@ -154,9 +154,11 @@ class WorkloadTrace:
 
     ``jobs[:measured_from]`` ran before the telemetry window (HiBench's
     untimed prepare phase, outside MBA throttling); the rest are the
-    measured jobs.  ``output``/``verified``/``records_processed``/
-    ``detail`` are the workload's real outputs, recorded so replayed
-    results carry identical payloads without recomputation.
+    measured jobs.  ``verified``/``records_processed``/``detail`` are
+    the parts of the workload's outcome an
+    :class:`~repro.core.experiment.ExperimentResult` carries, recorded
+    so replayed results match without recomputation.  The workload's
+    output itself is not kept: no result field holds it.
     """
 
     format_version: int
@@ -168,7 +170,6 @@ class WorkloadTrace:
     measured_from: int
     verified: bool
     records_processed: int
-    output: t.Any
     detail: dict[str, float]
     checksum: str = ""
 

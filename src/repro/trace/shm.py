@@ -59,9 +59,11 @@ _segment_ids = count()
 class SegmentDescriptor:
     """Everything a worker needs to rebuild one published trace.
 
-    Small and picklable (metadata only — the arrays live in the
-    segment), so it travels to pool workers as an ordinary submit
-    argument inside the campaign/service shared-memory manifest.
+    Small and picklable — metadata only: the arrays live in the
+    segment, and the skeleton holds scalars and empty containers (a
+    ``sort/large`` descriptor pickles to a few KiB).  It travels to a
+    pool worker as an ordinary submit argument: each submission's
+    shared-memory manifest holds the descriptor of its own trace key.
     """
 
     #: ``multiprocessing.shared_memory`` segment name.
@@ -124,7 +126,6 @@ def _skeleton(trace: WorkloadTrace) -> WorkloadTrace:
         measured_from=trace.measured_from,
         verified=trace.verified,
         records_processed=trace.records_processed,
-        output=trace.output,
         detail=trace.detail,
         checksum=trace.checksum,
     )
@@ -180,9 +181,10 @@ class SharedTraceCache:
     """Parent-side registry of traces published to shared memory.
 
     One instance per campaign runner / service; ``publish`` is
-    idempotent per key, ``manifest()`` is what travels to workers, and
-    ``close()`` (or garbage collection, or interpreter exit) unlinks
-    every segment exactly once.
+    idempotent per key and returns the descriptor that travels to a
+    worker with each submission of that key, and ``close()`` (or
+    garbage collection, or interpreter exit) unlinks every segment
+    exactly once.
 
     ``max_bytes`` bounds the total payload held in ``/dev/shm``:
     publishing past the bound unlinks least-recently-published segments
@@ -236,10 +238,17 @@ class SharedTraceCache:
             except Exception:  # noqa: BLE001 - already unlinked
                 pass
 
-    def touch(self, key: str) -> None:
-        """Refresh ``key``'s recency without republishing (LRU hit)."""
-        if key in self._segments:
-            self._segments.move_to_end(key)
+    def touch(self, key: str) -> SegmentDescriptor | None:
+        """Refresh ``key``'s recency without republishing (LRU hit).
+
+        Returns the key's descriptor, or ``None`` when it is not
+        published.
+        """
+        entry = self._segments.get(key)
+        if entry is None:
+            return None
+        self._segments.move_to_end(key)
+        return entry[1]
 
     def publish(self, key: str, trace: WorkloadTrace) -> SegmentDescriptor:
         """Copy ``trace``'s arrays into a fresh segment; return its descriptor."""
@@ -282,10 +291,6 @@ class SharedTraceCache:
         self._segments[key] = (shm, descriptor)
         self._evict_over_bound()
         return descriptor
-
-    def manifest(self) -> dict[str, SegmentDescriptor]:
-        """The picklable view workers install (key → descriptor)."""
-        return {key: desc for key, (_, desc) in self._segments.items()}
 
     def close(self) -> None:
         """Unlink every segment now (safe to call repeatedly)."""

@@ -73,10 +73,13 @@ _SHARED_VIEW: dict[str, t.Any] = {}
 def install_shared_view(manifest: "dict[str, t.Any] | None") -> None:
     """Register published segments for this process's trace loads.
 
+    Each pool submission carries the descriptor of its own trace key
+    only; installs accumulate here, so a worker learns each class once.
     Keys are content-addressed (:func:`trace_key` folds in the engine
-    and format versions), so installing is cumulative and idempotent —
-    a manifest can only ever add segments for keys this process has not
-    seen, never redefine one.
+    and format versions), so installing is idempotent — a manifest can
+    only add segments for keys this process has not seen, or point a
+    key at the segment its evicted one was republished to, never give a
+    key other content.
     """
     if manifest:
         _SHARED_VIEW.update(manifest)

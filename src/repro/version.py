@@ -19,7 +19,9 @@ ENGINE_VERSION = "4"
 
 #: Bump when :class:`repro.trace.records.WorkloadTrace` layout changes.
 #: 2: the ``weight`` column gave way to ``fix_order``/``fix_after``.
-TRACE_FORMAT_VERSION = 2
+#: 3: the unread ``output`` field is gone (a trace of ``sort/large``
+#: shrinks from about 6 MB to well under 1 MB).
+TRACE_FORMAT_VERSION = 3
 
 #: Bump when the observability artifact layout changes — the flat
 #: metrics JSON payload (:meth:`repro.obs.MetricsRegistry.to_dict`), the

@@ -187,6 +187,32 @@ def test_progress_reports_counts_and_eta():
     )
 
 
+def test_progress_sequence_over_mixed_statuses(tmp_path):
+    """Cached, live, failed and deduplicated points: each snapshot counts
+    every point resolved so far exactly once, in resolution order."""
+    cache_dir = tmp_path / "cache"
+    cached, live, other = FIG4_GRID[:3]
+    bad = ExperimentConfig(workload="repartition", size="no-such-size")
+    run_campaign([cached], cache_dir=cache_dir)
+    snapshots = []
+    run_campaign(
+        [cached, live, bad, live, other, bad],
+        cache_dir=cache_dir,
+        progress=snapshots.append,
+    )
+    assert [
+        (s.completed, s.total, s.executed, s.cached, s.failed)
+        for s in snapshots
+    ] == [
+        (1, 6, 0, 1, 0),  # the cache pass
+        (2, 6, 1, 1, 0),  # live
+        (3, 6, 1, 1, 1),  # bad fails
+        (4, 6, 2, 1, 1),  # other
+        (5, 6, 2, 2, 1),  # live's duplicate
+        (6, 6, 2, 2, 2),  # bad's duplicate fails with it
+    ]
+
+
 def test_invalid_worker_count_rejected():
     with pytest.raises(ValueError):
         CampaignRunner(workers=-1)

@@ -76,3 +76,45 @@ def test_condition_value_equality(env):
     assert outcome == outcome.todict()
     assert list(outcome.keys())
     assert list(outcome.values()) == ["a", "b"]
+
+
+def test_fired_condition_detaches_from_pending_events(env):
+    """A fired condition leaves no stale callback on the components
+    still pending: that callback would tie the condition (and whatever
+    waits on it) to an event that outlives the wait."""
+    fast, slow = env.timeout(1), env.timeout(5)
+    either = env.any_of([fast, slow])
+    env.run(until=either)
+    assert env.now == 1
+    assert slow.callbacks == []
+    env.run()
+    assert env.now == 5
+
+
+def test_failed_condition_detaches_from_pending_events(env):
+    bad, slow = env.event(), env.timeout(5)
+    both = env.all_of([bad, slow])
+    both.defuse()
+    bad.fail(ValueError("component failed"))
+    env.run(until=2)
+    assert both.triggered and not both.ok
+    assert slow.callbacks == []
+
+
+def test_condition_fired_at_construction_attaches_nowhere(env):
+    done = env.timeout(1)
+    env.run()
+    pending = env.timeout(3)
+    either = env.any_of([done, pending])
+    assert either.triggered
+    assert pending.callbacks == []
+
+
+def test_clear_drops_queued_events(env):
+    env.timeout(2)
+    env.timeout(1)
+    env.run(until=1.5)
+    env.clear()
+    assert len(env) == 0
+    env.run()  # nothing left to run
+    assert env.now == 1.5

@@ -141,7 +141,7 @@ def test_lru_eviction_bounds_dev_shm(captured):
         assert cache.nbytes <= 2 * size and cache.evictions == 0
         cache.touch("a")  # "b" becomes the LRU entry
         cache.publish("c", trace)  # over bound — evicts "b" only
-        assert sorted(cache.manifest()) == ["a", "c"]
+        assert [key for key in "abc" if key in cache] == ["a", "c"]
         assert cache.evictions == 1
         assert cache.nbytes <= 2 * size
         with pytest.raises(FileNotFoundError):
@@ -161,7 +161,7 @@ def test_most_recent_segment_survives_any_bound(captured):
         assert len(cache) == 1
         assert attach(only) is not None
         cache.publish("next", trace)
-        assert list(cache.manifest()) == ["next"]
+        assert len(cache) == 1 and "next" in cache
     finally:
         cache.close()
 
